@@ -50,13 +50,13 @@ fn main() {
     }
     #[cfg(unix)]
     {
-        // SATURATION runs both front-ends on the real server; the
-        // regression gate stays in the standalone `c10k` binary.
-        let report = rodain_bench::frontend::front_end_saturation(opts);
+        // C10K drives the real server; the regression gate stays in the
+        // standalone `c10k` binary.
+        let report = rodain_bench::frontend::c10k(opts);
         report.table().print();
         let dir = rodain_bench::report::out_dir();
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_SATURATION.json");
+        let path = dir.join("BENCH_C10K.json");
         std::fs::write(&path, report.to_json()).unwrap();
         println!("json: {path:?}\n");
     }

@@ -16,7 +16,7 @@
 //! | `commit_pipe` | extension: batched log shipping vs one frame per commit |
 //! | `shard_scale` | extension: throughput vs shard count on the sharded cluster |
 //! | `cluster_scale` | extension: SHARDSCALE across node *processes* over TCP |
-//! | `c10k` | extension: SATURATION — event-driven front-end vs thread-per-conn |
+//! | `c10k` | extension: C10K — event-driven front-end under connection storms |
 //! | `all_experiments` | everything above, sequentially |
 //!
 //! Pass `--quick` for a fast smoke run, `--reps N` / `--count N` to change

@@ -1,5 +1,6 @@
-//! The networked 2PC coordinator: drives the durable-intent protocol
-//! from `DESIGN.md` §11 over peer sockets (`DESIGN.md` §16).
+//! The networked 2PC coordinator: runs `rodain-shard`'s one durable-intent
+//! driver (`DESIGN.md` §11) over `PeerParticipant`s — shards reached
+//! through peer sockets (`DESIGN.md` §16).
 //!
 //! The coordinator is a *client* of the cluster — it holds no shard
 //! engines. Its persistent state lives entirely on the nodes: the
@@ -8,13 +9,15 @@
 //! a later cluster-wide resolve pass ([`ClusterCoordinator::resolve_all`])
 //! finishes or presumes abort for every in-flight transaction.
 
-use crate::proto::{
-    decode_reply, encode_request, ClusterProtoError, ClusterReply, ClusterRequest,
-};
+use crate::proto::{decode_reply, encode_request, ClusterProtoError, ClusterReply, ClusterRequest};
 use parking_lot::{Mutex, RwLock};
 use rodain_net::{NetError, PeerClient};
 use rodain_obs::{Histogram, Recorder};
-use rodain_shard::{CrashPoint, ShardMap, ShardOp, ShardRouter};
+use rodain_occ::Csn;
+use rodain_shard::{
+    CoordError, CrashPoint, CrossReceipt, MetaKind, Participant, ResolveReport, ShardMap, ShardOp,
+    ShardRouter,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,12 +35,9 @@ pub enum ClusterError {
     Proto(ClusterProtoError),
     /// A shard has no owner in the current map.
     NoOwner(usize),
-    /// The transaction was presumed aborted (a participant failed to
-    /// prepare); no data changed.
-    PresumedAbort(String),
     /// An injected [`CrashPoint`] stopped the coordinator mid-protocol
     /// (chaos tests only).
-    InjectedCrash(&'static str),
+    InjectedCrash(CrashPoint),
     /// The request was malformed before it ever reached the wire.
     Invalid(&'static str),
 }
@@ -49,8 +49,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Remote(m) => write!(f, "remote: {m}"),
             ClusterError::Proto(e) => write!(f, "protocol: {e}"),
             ClusterError::NoOwner(s) => write!(f, "shard {s} has no owner"),
-            ClusterError::PresumedAbort(m) => write!(f, "presumed abort: {m}"),
-            ClusterError::InjectedCrash(p) => write!(f, "injected crash at {p}"),
+            ClusterError::InjectedCrash(p) => write!(f, "injected crash at {p:?}"),
             ClusterError::Invalid(m) => write!(f, "invalid request: {m}"),
         }
     }
@@ -64,45 +63,169 @@ impl From<NetError> for ClusterError {
     }
 }
 
-impl From<ClusterProtoError> for ClusterError {
-    fn from(e: ClusterProtoError) -> ClusterError {
-        ClusterError::Proto(e)
+impl From<CoordError<ClusterError>> for ClusterError {
+    fn from(e: CoordError<ClusterError>) -> ClusterError {
+        match e {
+            CoordError::Empty => ClusterError::Invalid("empty transaction"),
+            CoordError::Aborted(e) | CoordError::InDoubt(e) => e,
+            CoordError::Crashed(point) => ClusterError::InjectedCrash(point),
+        }
     }
 }
 
-/// Receipt for a committed cluster transaction.
-#[derive(Clone, Copy, Debug)]
-pub struct ClusterReceipt {
-    /// CSN of the commit point (single-shard: the data commit;
-    /// cross-shard: the decision record's commit on the coordinator
-    /// shard).
-    pub csn: u64,
-    /// Group id of a cross-shard transaction (0 for single-shard).
-    pub gid: u64,
-    /// Shards the transaction touched.
-    pub shards: usize,
+/// Correlated request/reply exchanges with peer nodes over cached
+/// connections — the transport under [`PeerParticipant`], shared by the
+/// coordinator and by nodes querying each other during resolve.
+pub(crate) struct PeerCaller {
+    peers: Mutex<HashMap<String, Arc<PeerClient>>>,
+    next_id: AtomicU64,
+    timeout: Duration,
 }
 
-/// Outcome of a cluster-wide resolve sweep.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResolveReport {
-    /// Intents rolled forward (decision record found).
-    pub rolled_forward: u64,
-    /// Intents presumed aborted (coordinator reachable, no decision).
-    pub aborted: u64,
-    /// Decision records garbage-collected in the second pass.
-    pub decisions_gced: u64,
+impl PeerCaller {
+    pub(crate) fn new(timeout: Duration) -> PeerCaller {
+        PeerCaller {
+            peers: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(1),
+            timeout,
+        }
+    }
+
+    /// One exchange with the node at `addr`.
+    ///
+    /// Ids are unique per call, so a delayed reply to an earlier,
+    /// abandoned request can never be accepted as the answer to this one
+    /// (a stale `Decision` for gid A passing for gid B's). An undecodable
+    /// or mismatched reply also drops the cached connection: whatever
+    /// else it might deliver belongs to a request nobody is waiting on.
+    pub(crate) fn call(
+        &self,
+        addr: &str,
+        request: &ClusterRequest,
+    ) -> Result<ClusterReply, ClusterError> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let peer = Arc::clone(
+            self.peers
+                .lock()
+                .entry(addr.to_string())
+                .or_insert_with(|| Arc::new(PeerClient::new(addr))),
+        );
+        let raw = peer.call(encode_request(id, request), self.timeout)?;
+        match decode_reply(raw) {
+            Ok((got_id, ClusterReply::Err { message })) if got_id == id => {
+                Err(ClusterError::Remote(message))
+            }
+            Ok((got_id, reply)) if got_id == id => Ok(reply),
+            outcome => {
+                peer.disconnect();
+                Err(ClusterError::Proto(outcome.err().unwrap_or(
+                    ClusterProtoError::Malformed("reply id does not match request"),
+                )))
+            }
+        }
+    }
+}
+
+/// Unwrap the one reply kind a request can be answered with; anything
+/// else from the node is a protocol error naming the pattern.
+macro_rules! expect_reply {
+    ($reply:expr, $kind:pat => $out:expr) => {
+        match $reply? {
+            $kind => Ok($out),
+            _ => Err(ClusterError::Proto(ClusterProtoError::Malformed(concat!(
+                "expected ",
+                stringify!($kind)
+            )))),
+        }
+    };
+}
+pub(crate) use expect_reply;
+
+/// One shard behind a peer socket: each 2PC step is one
+/// [`ClusterRequest`] to the shard's owner, whose `handle_peer` runs the
+/// same step on its `LocalParticipant`.
+pub(crate) struct PeerParticipant<'a> {
+    pub(crate) caller: &'a PeerCaller,
+    pub(crate) addr: String,
+    pub(crate) shard: u64,
+    /// Times each remote prepare (`cluster_2pc_remote_prepare_ns`).
+    pub(crate) prepare_hist: Option<&'a Histogram>,
+}
+
+impl PeerParticipant<'_> {
+    fn call(&self, request: ClusterRequest) -> Result<ClusterReply, ClusterError> {
+        self.caller.call(&self.addr, &request)
+    }
+}
+
+impl Participant for PeerParticipant<'_> {
+    type Error = ClusterError;
+    /// The wire exchange is synchronous: a step is over when it begins.
+    type Pending = Result<(), ClusterError>;
+
+    /// Only an answer from the node proves a step did not happen.
+    fn in_doubt(err: &ClusterError) -> bool {
+        !matches!(err, ClusterError::Remote(_))
+    }
+
+    fn commit_direct(&self, ops: Vec<ShardOp>) -> Result<Csn, ClusterError> {
+        let shard = self.shard;
+        expect_reply!(self.call(ClusterRequest::Commit { shard, ops }),
+            ClusterReply::Committed { csn } => Csn(csn))
+    }
+
+    fn begin_prepare(&self, gid: u64, coordinator: usize, ops: &[ShardOp]) -> Self::Pending {
+        let started = Instant::now();
+        let outcome = self.call(ClusterRequest::Prepare {
+            gid,
+            coordinator_shard: coordinator as u64,
+            shard: self.shard,
+            ops: ops.to_vec(),
+        });
+        if let Some(hist) = self.prepare_hist {
+            hist.record(started.elapsed().as_nanos() as u64);
+        }
+        expect_reply!(outcome, ClusterReply::Prepared => ())
+    }
+
+    fn decide(&self, gid: u64) -> Result<Csn, ClusterError> {
+        let shard = self.shard;
+        expect_reply!(self.call(ClusterRequest::Decide { shard, gid }),
+            ClusterReply::Decided { csn } => Csn(csn))
+    }
+
+    fn begin_apply(&self, gid: u64, stamp: i64) -> Self::Pending {
+        let shard = self.shard;
+        expect_reply!(self.call(ClusterRequest::Apply { shard, gid, stamp }),
+            ClusterReply::Ack => ())
+    }
+
+    fn wait(&self, pending: Self::Pending) -> Result<(), ClusterError> {
+        pending
+    }
+
+    fn cleanup(&self, gid: u64, kind: MetaKind) {
+        let _ = self.call(ClusterRequest::Cleanup {
+            shard: self.shard,
+            gid,
+            decision: kind == MetaKind::Decision,
+        });
+    }
+
+    fn query_decision(&self, gid: u64) -> Result<bool, ClusterError> {
+        let shard = self.shard;
+        expect_reply!(self.call(ClusterRequest::QueryDecision { shard, gid }),
+            ClusterReply::Decision { decided } => decided)
+    }
 }
 
 /// A 2PC coordinator and migration driver speaking the peer protocol.
 pub struct ClusterCoordinator {
     map: RwLock<ShardMap>,
     router: ShardRouter,
-    peers: Mutex<HashMap<String, Arc<PeerClient>>>,
+    pub(crate) caller: PeerCaller,
     recorder: Recorder,
     prepare_hist: Histogram,
-    next_id: AtomicU64,
-    timeout: Duration,
 }
 
 impl ClusterCoordinator {
@@ -123,11 +246,9 @@ impl ClusterCoordinator {
         let mut coordinator = ClusterCoordinator {
             map: RwLock::new(ShardMap::single(1, "", seed_peer_addr)),
             router: ShardRouter::new(1),
-            peers: Mutex::new(HashMap::new()),
+            caller: PeerCaller::new(timeout),
             recorder,
             prepare_hist,
-            next_id: AtomicU64::new(1),
-            timeout,
         };
         let map = coordinator.fetch_map(seed_peer_addr)?;
         coordinator.router = ShardRouter::new(map.owners.len());
@@ -154,49 +275,6 @@ impl ClusterCoordinator {
         }
     }
 
-    fn peer(&self, addr: &str) -> Arc<PeerClient> {
-        let mut peers = self.peers.lock();
-        Arc::clone(
-            peers
-                .entry(addr.to_string())
-                .or_insert_with(|| Arc::new(PeerClient::new(addr))),
-        )
-    }
-
-    /// One correlated request/reply exchange with the node at `addr`.
-    ///
-    /// An undecodable or mismatched reply also drops the cached
-    /// connection: a frame that does not answer this request belongs to
-    /// an earlier, abandoned one, and keeping the connection would let
-    /// the next call consume another stale reply.
-    pub(crate) fn call(
-        &self,
-        addr: &str,
-        request: &ClusterRequest,
-    ) -> Result<ClusterReply, ClusterError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_request(id, request);
-        let peer = self.peer(addr);
-        let raw = peer.call(frame, self.timeout)?;
-        let (got_id, reply) = match decode_reply(raw) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                peer.disconnect();
-                return Err(ClusterError::Proto(e));
-            }
-        };
-        if got_id != id {
-            peer.disconnect();
-            return Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                "reply id does not match request",
-            )));
-        }
-        match reply {
-            ClusterReply::Err { message } => Err(ClusterError::Remote(message)),
-            other => Ok(other),
-        }
-    }
-
     pub(crate) fn owner_peer(&self, shard: usize) -> Result<String, ClusterError> {
         self.map
             .read()
@@ -217,12 +295,8 @@ impl ClusterCoordinator {
 
     /// Fetch the map one node serves.
     pub fn fetch_map(&self, peer_addr: &str) -> Result<ShardMap, ClusterError> {
-        match self.call(peer_addr, &ClusterRequest::FetchMap)? {
-            ClusterReply::Map { map } => Ok(map),
-            _ => Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                "expected Map reply",
-            ))),
-        }
+        expect_reply!(self.caller.call(peer_addr, &ClusterRequest::FetchMap),
+            ClusterReply::Map { map } => map)
     }
 
     /// Push `map` to every address in `addrs` (idempotent; nodes keep
@@ -230,7 +304,10 @@ impl ClusterCoordinator {
     pub fn broadcast_map(&self, map: &ShardMap, addrs: &[String]) -> Result<(), ClusterError> {
         let mut first_err = None;
         for addr in addrs {
-            if let Err(e) = self.call(addr, &ClusterRequest::InstallMap { map: map.clone() }) {
+            if let Err(e) = self
+                .caller
+                .call(addr, &ClusterRequest::InstallMap { map: map.clone() })
+            {
                 first_err.get_or_insert(e);
             }
         }
@@ -254,231 +331,80 @@ impl ClusterCoordinator {
 
     /// Execute `ops` as one atomic cluster transaction.
     ///
-    /// Retries once after a map refresh when the cluster answers with an
-    /// application-level error or a presumed abort — both mean no data
-    /// changed, so the retry cannot double-apply. Transport failures on
-    /// the decision call are NOT retried (the decision may have
-    /// committed); [`ClusterCoordinator::resolve_all`] settles those.
-    pub fn execute(&self, ops: Vec<ShardOp>) -> Result<ClusterReceipt, ClusterError> {
-        match self.execute_with_crash(ops.clone(), CrashPoint::None) {
-            Err(ClusterError::Remote(_)) | Err(ClusterError::PresumedAbort(_)) => {
+    /// Retries once after a map refresh when the first attempt aborted
+    /// before its commit point — no data changed, so the retry cannot
+    /// double-apply. An in-doubt commit point (the node never answered)
+    /// is NOT retried; [`ClusterCoordinator::resolve_all`] settles those.
+    pub fn execute(&self, ops: Vec<ShardOp>) -> Result<CrossReceipt, ClusterError> {
+        let outcome = match self.run(ops.clone(), CrashPoint::None) {
+            Err(CoordError::Aborted(_)) => {
                 self.refresh_map();
-                self.execute_with_crash(ops, CrashPoint::None)
+                self.run(ops, CrashPoint::None)
             }
             other => other,
-        }
+        };
+        Ok(outcome?)
     }
 
-    /// [`ClusterCoordinator::execute`] with an injected coordinator
-    /// crash for recovery tests.
-    ///
-    /// Protocol (see `DESIGN.md` §16): group ops by shard; single-shard
-    /// groups commit directly on the owner. Cross-shard groups write a
-    /// durable intent on every participant (*prepare*), then commit a
-    /// decision record on the coordinator shard — that commit IS the
-    /// atomic commit point — then apply and clean up. Any failure
-    /// before the decision is a presumed abort; any crash after it is
-    /// rolled forward by resolve.
+    /// [`ClusterCoordinator::execute`] (without the retry) with an
+    /// injected coordinator crash for recovery tests.
     pub fn execute_with_crash(
         &self,
         ops: Vec<ShardOp>,
         crash: CrashPoint,
-    ) -> Result<ClusterReceipt, ClusterError> {
-        if ops.is_empty() {
-            return Err(ClusterError::Invalid("empty transaction"));
-        }
-        let mut groups: Vec<(usize, Vec<ShardOp>)> = Vec::new();
-        for op in ops {
-            let shard = self.router.route(op.oid());
-            match groups.iter_mut().find(|(s, _)| *s == shard) {
-                Some((_, group)) => group.push(op),
-                None => groups.push((shard, vec![op])),
-            }
-        }
-        if groups.len() == 1 {
-            let (shard, ops) = groups.pop().expect("one group");
-            let addr = self.owner_peer(shard)?;
-            return match self.call(
-                &addr,
-                &ClusterRequest::Commit {
-                    shard: shard as u64,
-                    ops,
-                },
-            )? {
-                ClusterReply::Committed { csn } => Ok(ClusterReceipt {
-                    csn,
-                    gid: 0,
-                    shards: 1,
-                }),
-                _ => Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                    "expected Committed reply",
-                ))),
-            };
-        }
-
-        let coordinator_shard = groups[0].0;
-        let coord_addr = self.owner_peer(coordinator_shard)?;
-        let gid = match self.call(
-            &coord_addr,
-            &ClusterRequest::AllocGid {
-                shard: coordinator_shard as u64,
-            },
-        )? {
-            ClusterReply::Gid { gid } => gid,
-            _ => {
-                return Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                    "expected Gid reply",
-                )))
-            }
-        };
-
-        // Phase 1: durable intents on every participant.
-        let mut prepared: Vec<usize> = Vec::new();
-        for (shard, group) in &groups {
-            let addr = self.owner_peer(*shard)?;
-            let started = Instant::now();
-            let outcome = self.call(
-                &addr,
-                &ClusterRequest::Prepare {
-                    gid,
-                    coordinator_shard: coordinator_shard as u64,
-                    shard: *shard as u64,
-                    ops: group.clone(),
-                },
-            );
-            self.prepare_hist
-                .record(started.elapsed().as_nanos() as u64);
-            match outcome {
-                Ok(ClusterReply::Prepared) => prepared.push(*shard),
-                Ok(_) => {
-                    self.abort_prepared(gid, &prepared);
-                    return Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                        "expected Prepared reply",
-                    )));
-                }
-                Err(e) => {
-                    // No decision record exists, so this transaction is
-                    // already aborted by presumption — tidy what we can.
-                    self.abort_prepared(gid, &prepared);
-                    return Err(ClusterError::PresumedAbort(e.to_string()));
-                }
-            }
-        }
-
-        if crash == CrashPoint::AfterPrepare {
-            return Err(ClusterError::InjectedCrash("after-prepare"));
-        }
-
-        // Commit point: the decision record on the coordinator shard.
-        let csn = match self.call(
-            &coord_addr,
-            &ClusterRequest::Decide {
-                shard: coordinator_shard as u64,
-                gid,
-            },
-        ) {
-            Ok(ClusterReply::Decided { csn }) => csn,
-            Ok(_) => {
-                self.abort_prepared(gid, &prepared);
-                return Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                    "expected Decided reply",
-                )));
-            }
-            Err(e) => {
-                // The decision may or may not have committed — do NOT
-                // delete intents; resolve will consult the decision
-                // record and finish either way.
-                return Err(e);
-            }
-        };
-        let receipt = ClusterReceipt {
-            csn,
-            gid,
-            shards: groups.len(),
-        };
-
-        if crash == CrashPoint::AfterDecision {
-            // Committed but unapplied: resolve rolls it forward.
-            return Ok(receipt);
-        }
-
-        // Phase 2: apply + cleanup (all best-effort; resolve finishes
-        // stragglers).
-        for (shard, _) in &groups {
-            if let Ok(addr) = self.owner_peer(*shard) {
-                let _ = self.call(
-                    &addr,
-                    &ClusterRequest::Apply {
-                        shard: *shard as u64,
-                        gid,
-                        stamp: csn as i64,
-                    },
-                );
-                let _ = self.call(
-                    &addr,
-                    &ClusterRequest::Cleanup {
-                        shard: *shard as u64,
-                        gid,
-                        decision: false,
-                    },
-                );
-            }
-        }
-        let _ = self.call(
-            &coord_addr,
-            &ClusterRequest::Cleanup {
-                shard: coordinator_shard as u64,
-                gid,
-                decision: true,
-            },
-        );
-        Ok(receipt)
+    ) -> Result<CrossReceipt, ClusterError> {
+        Ok(self.run(ops, crash)?)
     }
 
-    fn abort_prepared(&self, gid: u64, prepared: &[usize]) {
-        for shard in prepared {
-            if let Ok(addr) = self.owner_peer(*shard) {
-                let _ = self.call(
-                    &addr,
-                    &ClusterRequest::Cleanup {
-                        shard: *shard as u64,
-                        gid,
-                        decision: false,
-                    },
-                );
-            }
-        }
+    /// The shared 2PC driver over this cluster's shards: each one a
+    /// [`PeerParticipant`] at its current owner, the gid issued by the
+    /// coordinator shard's owner.
+    fn run(
+        &self,
+        ops: Vec<ShardOp>,
+        crash: CrashPoint,
+    ) -> Result<CrossReceipt, CoordError<ClusterError>> {
+        rodain_shard::run(
+            self.router,
+            ops,
+            crash,
+            |shard| {
+                Ok(PeerParticipant {
+                    caller: &self.caller,
+                    addr: self.owner_peer(shard)?,
+                    shard: shard as u64,
+                    prepare_hist: Some(&self.prepare_hist),
+                })
+            },
+            |shard| {
+                let request = ClusterRequest::AllocGid {
+                    shard: shard as u64,
+                };
+                expect_reply!(self.caller.call(&self.owner_peer(shard)?, &request),
+                    ClusterReply::Gid { gid } => gid)
+            },
+        )
     }
 
     /// Cluster-wide recovery sweep: every node resolves its pending
     /// intents (consulting decision records over the wire), and only if
-    /// *all* nodes succeed does a second pass garbage-collect the
-    /// decision records (`DESIGN.md` §16 explains why GC must wait).
+    /// *all* nodes succeed — none kept an intent it could not settle —
+    /// does a second pass garbage-collect the decision records
+    /// (`DESIGN.md` §11 explains why GC must wait).
     pub fn resolve_all(&self) -> Result<ResolveReport, ClusterError> {
         let addrs = self.peer_addrs();
         let mut report = ResolveReport::default();
         for addr in &addrs {
-            match self.call(addr, &ClusterRequest::TriggerResolve)? {
-                ClusterReply::Resolved {
-                    rolled_forward,
-                    aborted,
-                } => {
-                    report.rolled_forward += rolled_forward;
-                    report.aborted += aborted;
-                }
-                _ => {
-                    return Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                        "expected Resolved reply",
-                    )))
-                }
-            }
+            let (rolled_forward, aborted) = expect_reply!(
+                self.caller.call(addr, &ClusterRequest::TriggerResolve),
+                ClusterReply::Resolved { rolled_forward, aborted } => (rolled_forward, aborted))?;
+            report.rolled_forward += rolled_forward;
+            report.aborted += aborted;
         }
         for addr in &addrs {
-            if let ClusterReply::Cleaned { count } =
-                self.call(addr, &ClusterRequest::GcDecisions)?
-            {
-                report.decisions_gced += count;
-            }
+            report.decisions_cleaned += expect_reply!(
+                self.caller.call(addr, &ClusterRequest::GcDecisions),
+                ClusterReply::Cleaned { count } => count)?;
         }
         Ok(report)
     }

@@ -8,12 +8,13 @@
 //!   (`ClusterMap` op) and answer mis-routed requests with
 //!   `WrongShard { epoch }`; [`ClusterClient`] caches the map and
 //!   converges by refreshing on redirects.
-//! - **Networked 2PC** — [`ClusterCoordinator`] puts the durable-intent
-//!   protocol (`DESIGN.md` §11) on the wire: prepare writes a logged
-//!   intent on each participant, the decision record's commit on the
-//!   coordinator shard is the atomic commit point, and a cluster-wide
-//!   resolve pass ([`ClusterCoordinator::resolve_all`]) finishes or
-//!   presumes abort for anything a crash left behind.
+//! - **Networked 2PC** — [`ClusterCoordinator`] runs `rodain-shard`'s
+//!   durable-intent coordinator (`DESIGN.md` §11) with every shard behind
+//!   a peer socket: prepare writes a logged intent on each participant,
+//!   the decision record's commit on the coordinator shard is the atomic
+//!   commit point, and a cluster-wide resolve pass
+//!   ([`ClusterCoordinator::resolve_all`]) finishes or presumes abort for
+//!   anything a crash left behind.
 //! - **Online migration** — [`ClusterCoordinator::migrate_shard`] ships
 //!   a fuzzy snapshot (the checkpoint format from `DESIGN.md` §15),
 //!   chases the source's redo-log tail, seals, and cuts over with an
@@ -31,8 +32,8 @@ pub mod node;
 pub mod proto;
 
 pub use client::ClusterClient;
-pub use coord::{ClusterCoordinator, ClusterError, ClusterReceipt, ResolveReport};
+pub use coord::{ClusterCoordinator, ClusterError};
 pub use migrate::MigrationReport;
 pub use node::{ClusterNode, NodeConfig};
 pub use proto::{ClusterProtoError, ClusterReply, ClusterRequest, TailCommit};
-pub use rodain_shard::{ShardMap, ShardOwner};
+pub use rodain_shard::{CrossReceipt, ResolveReport, ShardMap, ShardOwner};

@@ -9,7 +9,7 @@
 //! over with an epoch-bumped map. Clients racing the cutover get
 //! `WrongShard` redirects and converge on the new owner.
 
-use crate::coord::{ClusterCoordinator, ClusterError};
+use crate::coord::{expect_reply, ClusterCoordinator, ClusterError};
 use crate::proto::{ClusterProtoError, ClusterReply, ClusterRequest};
 use rodain_shard::ShardOwner;
 
@@ -51,19 +51,11 @@ impl ClusterCoordinator {
         let target_addr = target.peer_addr.clone();
 
         // 1. Fuzzy snapshot → staged copy on the target.
-        let (mut upto, snapshot) = match self.call(
-            &source_addr,
-            &ClusterRequest::MigrateSnapshot {
-                shard: shard as u64,
-            },
-        )? {
-            ClusterReply::Snapshot { upto, snapshot } => (upto, snapshot),
-            _ => {
-                return Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                    "expected Snapshot reply",
-                )))
-            }
+        let request = ClusterRequest::MigrateSnapshot {
+            shard: shard as u64,
         };
+        let (mut upto, snapshot) = expect_reply!(self.caller.call(&source_addr, &request),
+            ClusterReply::Snapshot { upto, snapshot } => (upto, snapshot))?;
         let snapshot_upto = upto;
         self.expect_ack(
             &target_addr,
@@ -152,12 +144,7 @@ impl ClusterCoordinator {
     }
 
     fn expect_ack(&self, addr: &str, request: &ClusterRequest) -> Result<(), ClusterError> {
-        match self.call(addr, request)? {
-            ClusterReply::Ack => Ok(()),
-            _ => Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                "expected Ack reply",
-            ))),
-        }
+        expect_reply!(self.caller.call(addr, request), ClusterReply::Ack => ())
     }
 
     fn fetch_tail(
@@ -165,11 +152,6 @@ impl ClusterCoordinator {
         addr: &str,
         request: &ClusterRequest,
     ) -> Result<Vec<crate::proto::TailCommit>, ClusterError> {
-        match self.call(addr, request)? {
-            ClusterReply::Tail { commits } => Ok(commits),
-            _ => Err(ClusterError::Proto(ClusterProtoError::Malformed(
-                "expected Tail reply",
-            ))),
-        }
+        expect_reply!(self.caller.call(addr, request), ClusterReply::Tail { commits } => commits)
     }
 }

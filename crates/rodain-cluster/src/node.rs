@@ -2,42 +2,33 @@
 //! behind a client-plane [`rodain_server::Server`] and a peer-plane
 //! [`PeerServer`] speaking the [`crate::proto`] protocol.
 
+use crate::coord::{PeerCaller, PeerParticipant};
 use crate::proto::{
     decode_request, encode_reply, ClusterReply, ClusterRequest, TailCommit,
     CLUSTER_PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
-use rodain_db::{Rodain, RodainBuilder, TxnOptions};
+use rodain_db::{Rodain, RodainBuilder, TxnError, TxnOptions};
 use rodain_log::{
     decode_snapshot, write_snapshot_file, LogStorage, LogStorageConfig, ThrottledStorage,
 };
-use rodain_net::{Bytes, PeerClient, PeerServer};
+use rodain_net::{Bytes, PeerServer};
 use rodain_obs::Counter;
 use rodain_occ::Csn;
 use rodain_server::{ClusterShards, Server, ServerHandle};
-use rodain_shard::{
-    apply_on_shard, best_effort_delete, decode_intent, MetaKind, ShardMap, ShardRouter,
-    ShardedRodain,
-};
-use rodain_store::{ObjectId, Store, Ts, Value};
+use rodain_shard::{LocalParticipant, MetaKind, Participant, ShardMap, ShardedRodain};
+use rodain_store::{Store, Ts};
 use rodain_workload::NumberTranslationDb;
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a peer call made *by* a node (decision queries during
 /// resolve) waits before giving up and leaving the intent pending.
 const PEER_CALL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Low 32 bits of a cluster group id: the coordinator-shard-local
-/// sequence number ([`ShardedRodain::alloc_gid`]); the high bits carry
-/// the coordinator shard so ids from different coordinators never
-/// collide.
-pub const GID_SEQ_MASK: u64 = 0xFFFF_FFFF;
 
 /// Configuration of one cluster node process.
 #[derive(Clone, Debug)]
@@ -123,8 +114,7 @@ struct NodeState {
     cfg: NodeConfig,
     cluster: Arc<ClusterShards>,
     staged: Mutex<HashMap<usize, Staged>>,
-    peers: Mutex<HashMap<String, Arc<PeerClient>>>,
-    next_call_id: AtomicU64,
+    caller: PeerCaller,
     migrations: Counter,
     catchup: Counter,
 }
@@ -164,11 +154,7 @@ impl ClusterNode {
                 drop(local.take_shard(shard));
             }
         }
-        let map = ShardMap::single(
-            cfg.shards,
-            &client_addr.to_string(),
-            &peer_addr.to_string(),
-        );
+        let map = ShardMap::single(cfg.shards, &client_addr.to_string(), &peer_addr.to_string());
         let cluster = ClusterShards::new(local, map);
         let migrations = cluster.recorder().counter("cluster_migrations_total");
         let catchup = cluster
@@ -178,8 +164,7 @@ impl ClusterNode {
             cfg,
             cluster: Arc::clone(&cluster),
             staged: Mutex::new(HashMap::new()),
-            peers: Mutex::new(HashMap::new()),
-            next_call_id: AtomicU64::new(1),
+            caller: PeerCaller::new(PEER_CALL_TIMEOUT),
             migrations,
             catchup,
         });
@@ -190,21 +175,7 @@ impl ClusterNode {
         // transaction's records would collide with the old one's — e.g.
         // a fresh Decide would make an old prepared-but-undecided intent
         // resolve as committed.
-        {
-            let local = state.cluster.local();
-            for shard in 0..local.shard_count() {
-                let Some(engine) = local.engine(shard) else {
-                    continue;
-                };
-                for (oid, _) in &engine.snapshot().objects {
-                    if let Some(meta) = ShardRouter::meta_parts(*oid) {
-                        if matches!(meta.kind, MetaKind::Intent | MetaKind::Decision) {
-                            local.note_gid_seen(meta.gid & GID_SEQ_MASK);
-                        }
-                    }
-                }
-            }
-        }
+        state.cluster.local().reseed_gids();
         let schema = NumberTranslationDb::new(state.cfg.schema_objects);
         let server = Server::cluster(Arc::clone(&cluster), schema).start(client_listener)?;
         let handler_state = Arc::clone(&state);
@@ -254,73 +225,14 @@ impl ClusterNode {
     }
 }
 
-impl NodeState {
-    fn peer(&self, addr: &str) -> Arc<PeerClient> {
-        let mut peers = self.peers.lock();
-        Arc::clone(
-            peers
-                .entry(addr.to_string())
-                .or_insert_with(|| Arc::new(PeerClient::new(addr))),
-        )
-    }
-
-    /// Peer call with correlation-id checking; `None` on any transport
-    /// or protocol failure (callers treat the answer as unknown).
-    ///
-    /// Ids are unique per call so a delayed reply to an earlier,
-    /// abandoned request can never be accepted as the answer to this
-    /// one — with a constant id a stale `Decision` for gid A could pass
-    /// for gid B's during resolve. On any mismatch or undecodable frame
-    /// the cached connection is dropped: whatever else it might deliver
-    /// belongs to a request nobody is waiting on.
-    fn call(&self, addr: &str, request: &ClusterRequest) -> Option<ClusterReply> {
-        let id = self.next_call_id.fetch_add(1, Ordering::Relaxed);
-        let frame = crate::proto::encode_request(id, request);
-        let peer = self.peer(addr);
-        let raw = peer.call(frame, PEER_CALL_TIMEOUT).ok()?;
-        match crate::proto::decode_reply(raw) {
-            Ok((got_id, reply)) if got_id == id => Some(reply),
-            _ => {
-                peer.disconnect();
-                None
-            }
-        }
-    }
-}
-
 fn err(message: impl Into<String>) -> ClusterReply {
     ClusterReply::Err {
         message: message.into(),
     }
 }
 
-fn owned_engine(state: &NodeState, shard: u64) -> Result<Arc<Rodain>, ClusterReply> {
-    let shard = shard as usize;
-    state
-        .cluster
-        .local()
-        .engine(shard)
-        .ok_or_else(|| err(format!("shard {shard} is not seated on this node")))
-}
-
-fn run_ops(
-    engine: &Rodain,
-    ops: Vec<rodain_shard::ShardOp>,
-) -> Result<rodain_db::TxnReceipt, rodain_db::TxnError> {
-    engine.execute(TxnOptions::non_real_time(), move |ctx| {
-        for op in &ops {
-            match op {
-                rodain_shard::ShardOp::Add { oid, delta } => {
-                    let current = ctx.read(*oid)?.and_then(|v| v.as_int()).unwrap_or(0);
-                    ctx.write(*oid, Value::Int(current + delta))?;
-                }
-                rodain_shard::ShardOp::Put { oid, value } => {
-                    ctx.write(*oid, value.clone())?;
-                }
-            }
-        }
-        Ok(None)
-    })
+fn not_seated(shard: u64) -> ClusterReply {
+    err(format!("shard {shard} is not seated on this node"))
 }
 
 /// Read the committed tail of `shard`'s redo log: every transaction with
@@ -349,110 +261,23 @@ fn read_tail(state: &NodeState, shard: usize, after: u64) -> io::Result<Vec<Tail
     Ok(commits)
 }
 
-/// Resolve every intent held on this node's shards: roll forward when
-/// the coordinator (local or remote, via [`ClusterRequest::QueryDecision`])
-/// has a decision record, presume abort when it answers "no decision",
-/// and leave the intent pending when the coordinator is unreachable.
-fn resolve_local(state: &NodeState) -> (u64, u64) {
-    let local = state.cluster.local();
-    let router = local.router();
-    let map = state.cluster.map();
-    let (mut rolled_forward, mut aborted) = (0u64, 0u64);
-    for shard in 0..local.shard_count() {
-        let Some(engine) = local.engine(shard) else {
-            continue;
-        };
-        let snapshot = engine.snapshot();
-        for (oid, object) in &snapshot.objects {
-            let Some(meta) = ShardRouter::meta_parts(*oid) else {
-                continue;
-            };
-            if meta.kind != MetaKind::Intent {
-                continue;
-            }
-            local.note_gid_seen(meta.gid & GID_SEQ_MASK);
-            match &object.value {
-                Value::Int(_) => {
-                    // Applied marker: the data already changed.
-                    best_effort_delete(&engine, *oid);
-                }
-                value => {
-                    let Some((gid, coordinator, ops)) = decode_intent(value) else {
-                        best_effort_delete(&engine, *oid);
-                        aborted += 1;
-                        continue;
-                    };
-                    let decision_oid = router.decision_oid(coordinator, gid);
-                    let decided = if let Some(coord_engine) = local.engine(coordinator) {
-                        Some(coord_engine.get(decision_oid).is_some())
-                    } else {
-                        map.owner(coordinator).and_then(|owner| {
-                            match state.call(
-                                &owner.peer_addr,
-                                &ClusterRequest::QueryDecision {
-                                    shard: coordinator as u64,
-                                    gid,
-                                },
-                            ) {
-                                Some(ClusterReply::Decision { decided }) => Some(decided),
-                                _ => None,
-                            }
-                        })
-                    };
-                    match decided {
-                        Some(true) => {
-                            if apply_on_shard(
-                                &engine,
-                                TxnOptions::non_real_time(),
-                                *oid,
-                                ops,
-                                gid as i64,
-                            )
-                            .is_ok()
-                            {
-                                best_effort_delete(&engine, *oid);
-                                rolled_forward += 1;
-                            }
-                        }
-                        Some(false) => {
-                            best_effort_delete(&engine, *oid);
-                            aborted += 1;
-                        }
-                        // Coordinator unreachable: neither outcome is
-                        // safe to presume — keep the intent for a later
-                        // pass.
-                        None => {}
-                    }
-                }
-            }
-        }
+/// Run one 2PC step on the locally seated `shard` and map its outcome to
+/// a reply. The step itself lives in [`LocalParticipant`] — the same code
+/// an in-process `ShardedRodain` coordinator drives.
+fn step(
+    state: &NodeState,
+    shard: u64,
+    run: impl FnOnce(LocalParticipant) -> Result<ClusterReply, TxnError>,
+) -> ClusterReply {
+    let seated = state
+        .cluster
+        .local()
+        .participant(shard as usize, TxnOptions::non_real_time());
+    match seated.map(run) {
+        Some(Ok(reply)) => reply,
+        Some(Err(e)) => err(e.to_string()),
+        None => not_seated(shard),
     }
-    (rolled_forward, aborted)
-}
-
-/// Delete every decision record on this node's shards. Only safe after
-/// a cluster-wide resolve pass succeeded on every node (`DESIGN.md`
-/// §16).
-fn gc_decisions(state: &NodeState) -> u64 {
-    let local = state.cluster.local();
-    let mut count = 0u64;
-    for shard in 0..local.shard_count() {
-        let Some(engine) = local.engine(shard) else {
-            continue;
-        };
-        let snapshot = engine.snapshot();
-        for (oid, _) in &snapshot.objects {
-            let Some(meta) = ShardRouter::meta_parts(*oid) else {
-                continue;
-            };
-            if meta.kind == MetaKind::Decision {
-                local.note_gid_seen(meta.gid & GID_SEQ_MASK);
-                best_effort_delete(&engine, *oid);
-                count += 1;
-            }
-        }
-    }
-    count
 }
 
 fn handle_peer(state: &Arc<NodeState>, request: ClusterRequest) -> ClusterReply {
@@ -464,147 +289,89 @@ fn handle_peer(state: &Arc<NodeState>, request: ClusterRequest) -> ClusterReply 
             state.cluster.install_map(map);
             ClusterReply::Ack
         }
-        ClusterRequest::AllocGid { shard } => match owned_engine(state, shard) {
-            Ok(_) => {
-                let seq = state.cluster.local().alloc_gid() & GID_SEQ_MASK;
-                ClusterReply::Gid {
-                    gid: (shard << 32) | seq,
-                }
-            }
-            Err(e) => e,
-        },
+        ClusterRequest::AllocGid { shard } => step(state, shard, |_| {
+            Ok(ClusterReply::Gid {
+                gid: state.cluster.local().alloc_gid(shard as usize),
+            })
+        }),
         ClusterRequest::Prepare {
             gid,
             coordinator_shard,
             shard,
             ops,
-        } => match owned_engine(state, shard) {
-            Ok(engine) => {
-                state.cluster.local().note_gid_seen(gid & GID_SEQ_MASK);
-                let intent = state
-                    .cluster
-                    .local()
-                    .router()
-                    .intent_oid(shard as usize, gid);
-                let payload = rodain_shard::encode_intent(gid, coordinator_shard as usize, &ops);
-                match engine.execute(TxnOptions::non_real_time(), move |ctx| {
-                    ctx.write(intent, payload.clone())?;
-                    Ok(None)
-                }) {
-                    Ok(_) => ClusterReply::Prepared,
-                    Err(e) => err(e.to_string()),
-                }
-            }
-            Err(e) => e,
-        },
-        ClusterRequest::Decide { shard, gid } => match owned_engine(state, shard) {
-            Ok(engine) => {
-                let decision = state
-                    .cluster
-                    .local()
-                    .router()
-                    .decision_oid(shard as usize, gid);
-                match engine.execute(TxnOptions::non_real_time(), move |ctx| {
-                    ctx.write(decision, Value::Int(gid as i64))?;
-                    Ok(None)
-                }) {
-                    Ok(receipt) => ClusterReply::Decided {
-                        csn: receipt.csn.0,
-                    },
-                    Err(e) => err(e.to_string()),
-                }
-            }
-            Err(e) => e,
-        },
-        ClusterRequest::Apply { shard, gid, stamp } => match owned_engine(state, shard) {
-            Ok(engine) => {
-                let intent = state
-                    .cluster
-                    .local()
-                    .router()
-                    .intent_oid(shard as usize, gid);
-                match engine.get(intent) {
-                    Some(value @ Value::Record(_)) => match decode_intent(&value) {
-                        Some((_, _, ops)) => {
-                            match apply_on_shard(
-                                &engine,
-                                TxnOptions::non_real_time(),
-                                intent,
-                                ops,
-                                stamp,
-                            ) {
-                                Ok(_) => ClusterReply::Ack,
-                                Err(e) => err(e.to_string()),
-                            }
-                        }
-                        None => err("undecodable intent"),
-                    },
-                    // Already applied (marker) or already cleaned up.
-                    _ => ClusterReply::Ack,
-                }
-            }
-            Err(e) => e,
-        },
+        } => step(state, shard, |p| {
+            state.cluster.local().note_gid_seen(gid);
+            p.wait(p.begin_prepare(gid, coordinator_shard as usize, &ops))?;
+            Ok(ClusterReply::Prepared)
+        }),
+        ClusterRequest::Decide { shard, gid } => step(state, shard, |p| {
+            let csn = p.decide(gid)?.0;
+            Ok(ClusterReply::Decided { csn })
+        }),
+        ClusterRequest::Apply { shard, gid, stamp } => step(state, shard, |p| {
+            p.wait(p.begin_apply(gid, stamp))?;
+            Ok(ClusterReply::Ack)
+        }),
         ClusterRequest::Cleanup {
             shard,
             gid,
             decision,
-        } => match owned_engine(state, shard) {
-            Ok(engine) => {
-                let router = state.cluster.local().router();
-                let oid = if decision {
-                    router.decision_oid(shard as usize, gid)
-                } else {
-                    router.intent_oid(shard as usize, gid)
-                };
-                best_effort_delete(&engine, oid);
-                ClusterReply::Ack
-            }
-            Err(e) => e,
-        },
-        ClusterRequest::QueryDecision { shard, gid } => match owned_engine(state, shard) {
-            Ok(engine) => ClusterReply::Decision {
-                decided: engine
-                    .get(
-                        state
-                            .cluster
-                            .local()
-                            .router()
-                            .decision_oid(shard as usize, gid),
-                    )
-                    .is_some(),
-            },
-            Err(e) => e,
-        },
+        } => step(state, shard, |p| {
+            let kind = if decision {
+                MetaKind::Decision
+            } else {
+                MetaKind::Intent
+            };
+            p.cleanup(gid, kind);
+            Ok(ClusterReply::Ack)
+        }),
+        ClusterRequest::QueryDecision { shard, gid } => step(state, shard, |p| {
+            let decided = p.query_decision(gid)?;
+            Ok(ClusterReply::Decision { decided })
+        }),
+        ClusterRequest::Commit { shard, ops } => step(state, shard, |p| {
+            let csn = p.commit_direct(ops)?.0;
+            Ok(ClusterReply::Committed { csn })
+        }),
         ClusterRequest::TriggerResolve => {
-            let (rolled_forward, aborted) = resolve_local(state);
+            // A coordinator shard seated elsewhere is asked over the wire;
+            // no owner or no answer keeps the intent.
+            let map = state.cluster.map();
+            let report = state.cluster.local().resolve_intents(|shard, gid| {
+                let asked = PeerParticipant {
+                    caller: &state.caller,
+                    addr: map.owner(shard)?.peer_addr.clone(),
+                    shard: shard as u64,
+                    prepare_hist: None,
+                };
+                asked.query_decision(gid).ok()
+            });
+            // The coordinator must not go on to GC decisions a kept
+            // intent still needs: an incomplete pass is a failed one.
+            if report.kept > 0 {
+                return err(format!(
+                    "{} intent(s) kept: coordinator shard unreachable",
+                    report.kept
+                ));
+            }
             ClusterReply::Resolved {
-                rolled_forward,
-                aborted,
+                rolled_forward: report.rolled_forward,
+                aborted: report.aborted,
             }
         }
         ClusterRequest::GcDecisions => ClusterReply::Cleaned {
-            count: gc_decisions(state),
+            count: state.cluster.local().gc_decisions(),
         },
-        ClusterRequest::Commit { shard, ops } => match owned_engine(state, shard) {
-            Ok(engine) => match run_ops(&engine, ops) {
-                Ok(receipt) => ClusterReply::Committed {
-                    csn: receipt.csn.0,
-                },
-                Err(e) => err(e.to_string()),
-            },
-            Err(e) => e,
-        },
-        ClusterRequest::MigrateSnapshot { shard } => match owned_engine(state, shard) {
-            Ok(engine) => {
-                let (snapshot, upto) = engine.snapshot_upto();
-                ClusterReply::Snapshot {
-                    upto: upto.0,
-                    snapshot: rodain_log::encode_snapshot(&snapshot, upto).to_vec(),
-                }
+        ClusterRequest::MigrateSnapshot { shard } => {
+            let Some(engine) = state.cluster.local().engine(shard as usize) else {
+                return not_seated(shard);
+            };
+            let (snapshot, upto) = engine.snapshot_upto();
+            ClusterReply::Snapshot {
+                upto: upto.0,
+                snapshot: rodain_log::encode_snapshot(&snapshot, upto).to_vec(),
             }
-            Err(e) => e,
-        },
+        }
         ClusterRequest::MigrateTail { shard, after } => {
             match read_tail(state, shard as usize, after) {
                 Ok(commits) => ClusterReply::Tail { commits },
@@ -613,7 +380,7 @@ fn handle_peer(state: &Arc<NodeState>, request: ClusterRequest) -> ClusterReply 
         }
         ClusterRequest::MigrateSeal { shard, after } => {
             let Some(taken) = state.cluster.local().take_shard(shard as usize) else {
-                return err(format!("shard {shard} is not seated on this node"));
+                return not_seated(shard);
             };
             // Wait for transient engine handles (in-flight submissions)
             // to drop so our drop is the one that shuts the engine down
@@ -719,4 +486,68 @@ fn handle_peer(state: &Arc<NodeState>, request: ClusterRequest) -> ClusterReply 
 #[must_use]
 pub fn protocol_version() -> u8 {
     CLUSTER_PROTOCOL_VERSION
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rodain_shard::{ShardOp, ShardRouter};
+    use rodain_store::{ObjectId, Value};
+
+    /// The wire `Commit` and `Prepare` arms run the same participant code
+    /// as an in-process coordinator, so an op aimed at a 2PC bookkeeping
+    /// object — here: forging a decision record for an undecided
+    /// transaction — is refused and nothing changes.
+    #[test]
+    fn wire_ops_targeting_the_meta_namespace_are_rejected() {
+        let dir = std::env::temp_dir().join(format!("rodain-node-meta-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let bind = || TcpListener::bind("127.0.0.1:0").unwrap();
+        let node =
+            ClusterNode::start(NodeConfig::new(2, vec![0, 1], &dir), bind(), bind()).unwrap();
+        let router = ShardRouter::new(2);
+        let data = (1..100u64)
+            .map(ObjectId)
+            .find(|&oid| router.route(oid) == 0)
+            .unwrap();
+        let forged = router.decision_oid(0, 77);
+        let ops = vec![
+            ShardOp::Add {
+                oid: data,
+                delta: 5,
+            },
+            ShardOp::Put {
+                oid: forged,
+                value: Value::Int(77),
+            },
+        ];
+        for request in [
+            ClusterRequest::Commit {
+                shard: 0,
+                ops: ops.clone(),
+            },
+            ClusterRequest::Prepare {
+                gid: 78,
+                coordinator_shard: 1,
+                shard: 0,
+                ops,
+            },
+        ] {
+            let reply = handle_peer(&node.state, request);
+            assert!(matches!(reply, ClusterReply::Err { .. }), "got {reply:?}");
+        }
+        let engine = node.cluster().local().engine(0).unwrap();
+        assert_eq!(engine.get(data), None);
+        assert_eq!(engine.get(forged), None);
+        assert_eq!(engine.get(router.intent_oid(0, 78)), None);
+        assert!(matches!(
+            handle_peer(
+                &node.state,
+                ClusterRequest::QueryDecision { shard: 0, gid: 77 }
+            ),
+            ClusterReply::Decision { decided: false }
+        ));
+        node.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

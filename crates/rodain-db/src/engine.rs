@@ -126,15 +126,6 @@ impl CommitFuture {
             Err(TryRecvError::Disconnected) => Some(Err(TxnError::Shutdown)),
         }
     }
-
-    /// The underlying channel, for `crossbeam::channel::Select` over many
-    /// futures. The channel yields exactly one message; after it fires,
-    /// collect the outcome with [`CommitFuture::try_wait`] or
-    /// [`CommitFuture::wait`].
-    #[must_use]
-    pub fn receiver(&self) -> &Receiver<Result<TxnReceipt, TxnError>> {
-        &self.rx
-    }
 }
 
 /// A validated commit handed to the completer thread: the worker is

@@ -805,9 +805,15 @@ impl Shipper {
             }
         }
         if send_with_retry(self.shared.transport.as_ref(), frame).is_err() {
-            // mark_down drains the pending map, including the tickets
-            // registered just above.
             self.shared.mark_down();
+        }
+        // `mark_down` drains the pending map once. If another thread's
+        // `mark_down` ran between `flush_ready`'s check and the
+        // registration above, its drain came too early for these tickets
+        // and ours returned at the `down` swap: drain again, or they wait
+        // out the commit-gate timeout.
+        if self.shared.down.load(Ordering::Acquire) {
+            self.shared.drain_pending();
         }
     }
 
@@ -965,6 +971,39 @@ mod tests {
             Ok(DurabilityTier::MirrorAcked)
         );
         assert_eq!(link.acks(), 3);
+    }
+
+    /// The ack thread's `mark_down` (drain included) completes after the
+    /// shipper saw the link up but before it registers a frame's tickets:
+    /// the shipper's own `mark_down` is then a no-op, so `send_batch`
+    /// itself must resolve what it registered.
+    #[test]
+    fn tickets_registered_after_the_mark_down_drain_still_resolve() {
+        let (link, _mirror) = mirrored_link(1);
+        link.mark_down();
+        let (done, ticket) = bounded(1);
+        let late = ShipRequest {
+            csn: 1,
+            records: commit_group(1),
+            done,
+            on_disk: false,
+        };
+        let mut shipper = Shipper {
+            shared: Arc::clone(&link.shared),
+            queue: unbounded().1,
+            holdback: BTreeMap::new(),
+            next_csn: 2,
+            batch: ShipBatchConfig::default(),
+            batch_records: Histogram::default(),
+            batch_bytes: Histogram::default(),
+        };
+        shipper.send_batch(vec![late], 1, 64);
+        assert_eq!(
+            ticket.recv_timeout(Duration::from_secs(1)),
+            Ok(Ok(DurabilityTier::Volatile)),
+            "ticket orphaned in the pending map"
+        );
+        assert!(link.shared.pending.lock().is_empty());
     }
 
     #[test]

@@ -243,7 +243,7 @@ pub(crate) fn start(
         shutdown,
         stats,
         threads,
-        waker: Some(waker),
+        waker,
     })
 }
 
@@ -254,7 +254,7 @@ fn worker_loop(shared: &Shared, work: &Receiver<WorkItem>) {
         shared.fe.read_to_dispatch.record_elapsed(item.read_at);
         let Ok(request) = Request::decode(item.frame) else {
             // Protocol violation: undo the dispatch accounting and have
-            // the loop drop the connection, mirroring the threaded path.
+            // the loop drop the connection.
             release_inflight(shared, &item.conn);
             shared.notify(LoopMsg::Kill {
                 slot: item.slot,
@@ -314,7 +314,7 @@ fn worker_loop(shared: &Shared, work: &Receiver<WorkItem>) {
                 waker.wake();
             })
         };
-        let future = submit_request(&shared.backend, shared.schema, request, Some(hook));
+        let future = submit_request(&shared.backend, shared.schema, request, hook);
         let refire = {
             let mut slab = shared.slab.lock();
             match slab.entries.get_mut(key).and_then(Option::as_mut) {

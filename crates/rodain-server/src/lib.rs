@@ -19,8 +19,9 @@
 //!   complete out of order. Backpressure is end-to-end: per-connection
 //!   in-flight caps park a connection's read interest (TCP flow control
 //!   stalls the sender), and a global admission gate answers `Overloaded`
-//!   before decode work. [`Server::start_threaded`] keeps the
-//!   thread-per-connection baseline; [`Server::sharded`] serves a
+//!   before decode work. Unix only (the poller has no other
+//!   implementation; elsewhere [`Server::start`] returns
+//!   `ErrorKind::Unsupported`). [`Server::sharded`] serves a
 //!   hash-partitioned [`rodain_shard::ShardedRodain`] cluster instead,
 //!   routing each request to the shard owning its object and answering
 //!   `Stats`/`Metrics` with cluster-wide merges;

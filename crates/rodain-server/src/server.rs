@@ -1,23 +1,13 @@
-//! The TCP front-end.
-//!
-//! Two front-end architectures share this module's request plumbing:
-//!
-//! * the **event-driven** front-end (`event.rs`, DESIGN.md §17) — one
-//!   loop thread multiplexing every client socket through a
-//!   [`rodain_net::Poller`], a fixed worker pool executing decoded
-//!   requests, out-of-order id-correlated responses, and end-to-end
-//!   backpressure. This is what [`Server::start`] runs on unix.
-//! * the **thread-per-connection** front-end ([`Server::start_threaded`])
-//!   — one reader + one writer thread per connection. Kept as the
-//!   baseline for the SATURATION experiment and as the fallback on
-//!   platforms without the readiness poller.
+//! The TCP front-end: backend routing and request plumbing for the
+//! event-driven server (`event.rs`, DESIGN.md §17) — one loop thread
+//! multiplexing every client socket through a [`rodain_net::Poller`], a
+//! fixed worker pool executing decoded requests, out-of-order
+//! id-correlated responses, and end-to-end backpressure. Unix only: the
+//! poller has no other implementation.
 
 use crate::cluster::ClusterShards;
-use crate::protocol::{
-    read_frame, write_frame, MetricsFormat, Outcome, Request, RequestOp, Response,
-};
+use crate::protocol::{MetricsFormat, Outcome, Request, RequestOp, Response};
 use bytes::BufMut;
-use crossbeam::channel::{unbounded, Receiver, Select, Sender};
 use rodain_db::{
     CommitFuture, CompletionHook, DurabilityTier, EngineStats, MetricsSnapshot, Rodain, TxnAbort,
     TxnCtx, TxnError, TxnOptions, TxnReceipt,
@@ -26,11 +16,9 @@ use rodain_obs::{Counter, Gauge, Histogram, Recorder};
 use rodain_shard::ShardedRodain;
 use rodain_store::{ObjectId, Value};
 use rodain_workload::NumberTranslationDb;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Monotone request counters.
 #[derive(Default)]
@@ -75,11 +63,11 @@ pub struct ServerStats {
     /// after their connection closed).
     pub replies_dropped: u64,
     /// Times a connection's read interest was withdrawn because it hit
-    /// its in-flight cap or its reply queue filled (event-driven mode).
+    /// its in-flight cap or its reply queue filled.
     pub backpressure_pauses: u64,
 }
 
-/// Tuning knobs for the event-driven front-end ([`Server::start_with`]).
+/// Tuning knobs for the front-end ([`Server::start_with`]).
 ///
 /// The backpressure story is end-to-end: a connection that exceeds
 /// `max_inflight_per_conn` outstanding requests — or whose reply queue
@@ -178,30 +166,23 @@ pub enum Backend {
 
 impl Backend {
     /// Submit a transaction anchored at `anchor` (the object the request
-    /// addresses; ignored by a single engine). When `hook` is set it
-    /// fires after the outcome reaches the returned future — the
-    /// event-driven front-end's completion signal.
+    /// addresses; ignored by a single engine). `hook` fires after the
+    /// outcome reaches the returned future — the event loop's completion
+    /// signal.
     fn submit_hooked<F>(
         &self,
         anchor: ObjectId,
         opts: TxnOptions,
         closure: F,
-        hook: Option<CompletionHook>,
+        hook: CompletionHook,
     ) -> CommitFuture
     where
         F: FnMut(&mut TxnCtx) -> Result<Option<Value>, TxnAbort> + Send + 'static,
     {
-        match (self, hook) {
-            (Backend::Single(db), None) => db.submit(opts, closure),
-            (Backend::Single(db), Some(hook)) => db.submit_hooked(opts, closure, hook),
-            (Backend::Sharded(cluster), None) => cluster.submit_on(anchor, opts, closure),
-            (Backend::Sharded(cluster), Some(hook)) => {
-                cluster.submit_on_hooked(anchor, opts, closure, hook)
-            }
-            (Backend::Cluster(node), None) => node.local().submit_on(anchor, opts, closure),
-            (Backend::Cluster(node), Some(hook)) => {
-                node.local().submit_on_hooked(anchor, opts, closure, hook)
-            }
+        match self {
+            Backend::Single(db) => db.submit_hooked(opts, closure, hook),
+            Backend::Sharded(cluster) => cluster.submit_on_hooked(anchor, opts, closure, hook),
+            Backend::Cluster(node) => node.local().submit_on_hooked(anchor, opts, closure, hook),
         }
     }
 
@@ -267,9 +248,9 @@ pub struct ServerHandle {
     pub(crate) stats: Arc<StatsInner>,
     pub(crate) threads: Vec<std::thread::JoinHandle<()>>,
     /// Wakes the event loop out of a blocked wait so it notices the
-    /// shutdown flag (event-driven mode only).
+    /// shutdown flag.
     #[cfg(unix)]
-    pub(crate) waker: Option<Arc<rodain_net::Waker>>,
+    pub(crate) waker: Arc<rodain_net::Waker>,
 }
 
 impl ServerHandle {
@@ -297,9 +278,7 @@ impl ServerHandle {
         }
     }
 
-    /// Stop the front-end and join its threads. In threaded mode existing
-    /// connections drain naturally (clients see EOF on their next read);
-    /// in event-driven mode every connection is closed.
+    /// Stop the front-end, close every connection and join its threads.
     pub fn shutdown(mut self) {
         self.finish();
     }
@@ -307,9 +286,7 @@ impl ServerHandle {
     fn finish(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         #[cfg(unix)]
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -359,16 +336,14 @@ impl Server {
         }
     }
 
-    /// Start serving on `listener`. On unix this is the event-driven
-    /// front-end with [`FrontEndConfig::default`] (DESIGN.md §17);
-    /// elsewhere it falls back to [`Server::start_threaded`].
+    /// Start serving on `listener` with [`FrontEndConfig::default`]
+    /// (DESIGN.md §17).
     pub fn start(self, listener: TcpListener) -> std::io::Result<ServerHandle> {
         self.start_with(listener, FrontEndConfig::default())
     }
 
-    /// Start the event-driven front-end with explicit tuning knobs. Falls
-    /// back to the threaded front-end on platforms without the readiness
-    /// poller (the `config` is then ignored).
+    /// Start serving with explicit tuning knobs. Off unix there is no
+    /// readiness poller to serve with: `ErrorKind::Unsupported`.
     pub fn start_with(
         self,
         listener: TcpListener,
@@ -380,121 +355,10 @@ impl Server {
         }
         #[cfg(not(unix))]
         {
-            let _ = config;
-            self.start_threaded(listener)
+            let _ = (listener, config);
+            Err(std::io::ErrorKind::Unsupported.into())
         }
     }
-
-    /// Start the thread-per-connection front-end: a background accept
-    /// loop plus one reader + one writer thread per connection. This is
-    /// the SATURATION experiment's baseline; prefer [`Server::start`].
-    pub fn start_threaded(self, listener: TcpListener) -> std::io::Result<ServerHandle> {
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(StatsInner::default());
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_stats = Arc::clone(&stats);
-        let fe = Arc::clone(&self.metrics);
-        let accept_thread = std::thread::Builder::new()
-            .name("rodain-uri-accept".into())
-            .spawn(move || {
-                let mut backoff = Duration::from_millis(1);
-                while !accept_shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = Duration::from_millis(1);
-                            accept_stats.connections.fetch_add(1, Ordering::Relaxed);
-                            fe.connections.add(1);
-                            let backend = self.backend.clone();
-                            let schema = self.schema;
-                            let stats = Arc::clone(&accept_stats);
-                            let fe = Arc::clone(&fe);
-                            let _ = std::thread::Builder::new()
-                                .name("rodain-uri-conn".into())
-                                .spawn(move || serve_connection(stream, backend, schema, stats, fe));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            // Transient accept failures (aborted
-                            // handshakes, fd exhaustion) must not kill the
-                            // listener; back off exponentially so a
-                            // persistent error cannot hot-loop either.
-                            accept_stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                            fe.accept_errors.inc();
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(Duration::from_secs(1));
-                        }
-                    }
-                }
-            })
-            .expect("spawn accept loop");
-        Ok(ServerHandle {
-            addr,
-            shutdown,
-            stats,
-            threads: vec![accept_thread],
-            #[cfg(unix)]
-            waker: None,
-        })
-    }
-}
-
-/// A transaction whose outcome the writer is waiting on.
-struct PendingReply {
-    id: u64,
-    future: CommitFuture,
-    /// Deferred requests were already answered `CommitPending`; their
-    /// final frame is `CommitDurable` (or a failure outcome).
-    deferred: bool,
-}
-
-enum ReplyJob {
-    Pending(PendingReply),
-    Immediate(Response),
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    backend: Backend,
-    schema: NumberTranslationDb,
-    stats: Arc<StatsInner>,
-    fe: Arc<FrontEndMetrics>,
-) {
-    let _ = stream.set_nodelay(true);
-    let Ok(write_stream) = stream.try_clone() else {
-        fe.connections.add(-1);
-        return;
-    };
-    // Writer: resolves replies in request order, keeping the read loop free
-    // to accept pipelined requests.
-    let (reply_tx, reply_rx) = unbounded::<ReplyJob>();
-    let writer_stats = Arc::clone(&stats);
-    let writer_fe = Arc::clone(&fe);
-    let writer = std::thread::Builder::new()
-        .name("rodain-uri-writer".into())
-        .spawn(move || writer_loop(write_stream, reply_rx, writer_stats, writer_fe))
-        .expect("spawn writer");
-
-    let mut reader = BufReader::new(stream);
-    loop {
-        let Ok(frame) = read_frame(&mut reader) else {
-            break; // disconnect / malformed length
-        };
-        let Ok(request) = Request::decode(frame) else {
-            break; // protocol violation: drop the connection
-        };
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        if handle_request(&backend, schema, &fe, request, &reply_tx).is_err() {
-            break;
-        }
-    }
-    drop(reply_tx);
-    let _ = writer.join();
-    fe.connections.add(-1);
 }
 
 pub(crate) fn txn_options(deadline_ms: u32, tier: DurabilityTier) -> TxnOptions {
@@ -559,9 +423,8 @@ pub(crate) fn immediate_outcome(
         }
         RequestOp::Checkpoint => {
             // An operator op, serialized against the background
-            // checkpointer. In threaded mode it runs on the connection's
-            // read thread; in event-driven mode it occupies one worker
-            // until the snapshot installs.
+            // checkpointer; it occupies one worker until the snapshot
+            // installs.
             Some(match backend.force_checkpoint() {
                 Ok(path) => Outcome::Ok(Value::Text(path.display().to_string())),
                 Err(e) => Outcome::Failed(e.to_string()),
@@ -582,7 +445,7 @@ pub(crate) fn submit_request(
     backend: &Backend,
     schema: NumberTranslationDb,
     request: Request,
-    hook: Option<CompletionHook>,
+    hook: CompletionHook,
 ) -> CommitFuture {
     let opts = txn_options(request.deadline_ms, request.tier);
     match request.op {
@@ -627,35 +490,6 @@ pub(crate) fn submit_request(
         // Immediate ops never reach here (see the callers).
         _ => unreachable!("immediate op submitted as a transaction"),
     }
-}
-
-fn handle_request(
-    backend: &Backend,
-    schema: NumberTranslationDb,
-    fe: &FrontEndMetrics,
-    request: Request,
-    replies: &Sender<ReplyJob>,
-) -> Result<(), ()> {
-    let id = request.id;
-    let deferred = request.deferred;
-    if let Some(outcome) = shard_redirect(backend, schema, &request) {
-        return replies
-            .send(ReplyJob::Immediate(Response { id, outcome }))
-            .map_err(|_| ());
-    }
-    if let Some(outcome) = immediate_outcome(backend, fe, &request.op) {
-        return replies
-            .send(ReplyJob::Immediate(Response { id, outcome }))
-            .map_err(|_| ());
-    }
-    let future = submit_request(backend, schema, request, None);
-    replies
-        .send(ReplyJob::Pending(PendingReply {
-            id,
-            future,
-            deferred,
-        }))
-        .map_err(|_| ())
 }
 
 /// Map a resolved transaction outcome onto the wire. A deferred request's
@@ -710,92 +544,4 @@ pub(crate) fn frame_bytes(response: &Response) -> bytes::Bytes {
     buf.put_u32_le(body.len() as u32);
     buf.put_slice(&body);
     buf.freeze()
-}
-
-/// The connection's writer: multiplexes newly-submitted jobs and resolving
-/// commit futures with one `Select`, so a slow durability gate never blocks
-/// the frames behind it. Responses are correlated by request id, not by
-/// order; a deferred request gets `CommitPending` as soon as it is
-/// submitted and its durable frame whenever the tier gate resolves.
-fn writer_loop(
-    stream: TcpStream,
-    replies: Receiver<ReplyJob>,
-    stats: Arc<StatsInner>,
-    fe: Arc<FrontEndMetrics>,
-) {
-    let mut out = BufWriter::new(stream);
-    let mut pending: Vec<PendingReply> = Vec::new();
-    let mut jobs_open = true;
-    'serve: while jobs_open || !pending.is_empty() {
-        // Rebuild the selector each round: the pending set changes as
-        // futures resolve. Index 0 is the job channel (while open);
-        // pending futures follow in vector order.
-        // The selector borrows every pending receiver, so it lives in its
-        // own scope: the borrows end with it, freeing `pending` for the
-        // push/swap_remove below.
-        let ready = {
-            let mut sel = Select::new();
-            if jobs_open {
-                sel.recv(&replies);
-            }
-            for p in &pending {
-                sel.recv(p.future.receiver());
-            }
-            sel.ready()
-        };
-        let base = usize::from(jobs_open);
-        let mut batch: Vec<Response> = Vec::new();
-        if jobs_open && ready == 0 {
-            match replies.try_recv() {
-                Ok(ReplyJob::Immediate(response)) => batch.push(response),
-                Ok(ReplyJob::Pending(p)) => {
-                    if p.deferred {
-                        batch.push(Response {
-                            id: p.id,
-                            outcome: Outcome::CommitPending,
-                        });
-                    }
-                    pending.push(p);
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => {}
-                Err(crossbeam::channel::TryRecvError::Disconnected) => jobs_open = false,
-            }
-        } else {
-            let idx = ready - base;
-            // `ready` can spuriously wake; `try_wait` returning `None`
-            // simply leaves the future in place for the next round.
-            if let Some(result) = pending[idx].future.try_wait() {
-                let p = pending.swap_remove(idx);
-                batch.push(Response {
-                    id: p.id,
-                    outcome: wire_outcome(result, p.deferred),
-                });
-            }
-        }
-        for response in batch {
-            count_outcome(&stats, &response.outcome);
-            if write_frame(&mut out, &response.encode()).is_err() {
-                break 'serve;
-            }
-            if out.flush().is_err() {
-                break 'serve;
-            }
-        }
-    }
-    let _ = out.flush();
-    // Teardown: either a clean drain (nothing left) or the peer died
-    // mid-stream. Whatever is still queued — resolved-but-unwritten
-    // futures, plus any jobs the reader submits until it notices the dead
-    // socket — can no longer be delivered: drain, drop, and account
-    // instead of silently leaking the responses.
-    let mut dropped = pending.len() as u64;
-    pending.clear();
-    for job in replies.iter() {
-        let _ = job;
-        dropped += 1;
-    }
-    if dropped > 0 {
-        stats.replies_dropped.fetch_add(dropped, Ordering::Relaxed);
-        fe.replies_dropped.add(dropped);
-    }
 }

@@ -1,8 +1,10 @@
 //! The [`ShardedRodain`] facade: N independent engines behind one API.
 
 use crate::router::ShardRouter;
-use crate::twopc;
-use crate::twopc::{CrashPoint, CrossReceipt, RecoveryReport, ShardOp};
+use crate::twopc::{
+    self, CoordError, CrashPoint, CrossReceipt, Leftover, LocalParticipant, Participant,
+    ResolveReport, ShardOp,
+};
 use parking_lot::RwLock;
 use rodain_db::{
     CommitFuture, CompletionHook, EngineStats, MirrorLossPolicy, Rodain, RodainBuilder, TxnAbort,
@@ -286,16 +288,30 @@ impl ShardedRodain {
         self.submit_on(anchor, opts, closure).wait()
     }
 
+    /// Shard `shard` as a 2PC participant running its steps under `opts`
+    /// (`None` while detached).
+    #[must_use]
+    pub fn participant(&self, shard: usize, opts: TxnOptions) -> Option<LocalParticipant> {
+        Some(LocalParticipant {
+            engine: self.engine(shard)?,
+            router: self.router,
+            shard,
+            opts,
+        })
+    }
+
     /// Execute a cross-shard transaction atomically via two-phase commit
     /// (see `DESIGN.md` §11 and [`ShardOp`]). Operations that all land on
     /// one shard skip the protocol and commit as a plain local
-    /// transaction.
+    /// transaction. Once the decision record commits the transaction is
+    /// committed and this returns `Ok` — an apply cut short by a shard
+    /// failure is rolled forward by [`ShardedRodain::resolve_pending`].
     pub fn execute_cross(
         &self,
         opts: TxnOptions,
         ops: Vec<ShardOp>,
     ) -> Result<CrossReceipt, TxnError> {
-        twopc::execute_cross(self, opts, ops, CrashPoint::None)
+        self.execute_cross_with_crash(opts, ops, CrashPoint::None)
     }
 
     /// [`ShardedRodain::execute_cross`] with an injected coordinator crash
@@ -308,16 +324,68 @@ impl ShardedRodain {
         ops: Vec<ShardOp>,
         crash: CrashPoint,
     ) -> Result<CrossReceipt, TxnError> {
-        twopc::execute_cross(self, opts, ops, crash)
+        twopc::run(
+            self.router,
+            ops,
+            crash,
+            |shard| self.participant(shard, opts).ok_or(TxnError::Shutdown),
+            |coordinator| Ok(self.alloc_gid(coordinator)),
+        )
+        .map_err(|err| match err {
+            CoordError::Empty => TxnError::UserAbort("empty cross-shard transaction".into()),
+            CoordError::Aborted(err) | CoordError::InDoubt(err) => err,
+            CoordError::Crashed(_) => TxnError::Replication("injected coordinator crash".into()),
+        })
     }
 
-    /// Replay unresolved 2PC bookkeeping after a restart: intents whose
-    /// decision record exists roll forward, intents without one are
-    /// presumed aborted, and fully applied transactions have their
-    /// leftover markers and decisions cleaned up. Call before serving new
-    /// traffic on a recovered cluster.
-    pub fn resolve_pending(&self) -> Result<RecoveryReport, TxnError> {
-        twopc::resolve_pending(self)
+    /// Visit every attached shard with the 2PC bookkeeping it still holds,
+    /// keeping the gid allocator ahead of every id seen on the way.
+    fn sweep(&self, mut visit: impl FnMut(&LocalParticipant, &[Leftover])) {
+        for shard in 0..self.shard_count() {
+            let Some(shard) = self.participant(shard, TxnOptions::non_real_time()) else {
+                continue;
+            };
+            let leftovers = shard.leftovers();
+            leftovers.iter().for_each(|l| self.note_gid_seen(l.gid));
+            visit(&shard, &leftovers);
+        }
+    }
+
+    /// Resolve every intent on the attached shards: roll forward when the
+    /// coordinator shard holds a decision record, presume abort when it
+    /// holds none, keep the intent when it cannot be asked. A coordinator
+    /// shard seated here is read directly; any other goes to `remote`
+    /// (`None` = no answer).
+    pub fn resolve_intents(&self, remote: impl Fn(usize, u64) -> Option<bool>) -> ResolveReport {
+        let decided = |shard, gid| match self.participant(shard, TxnOptions::non_real_time()) {
+            Some(coordinator) => coordinator.query_decision(gid).ok(),
+            None => remote(shard, gid),
+        };
+        let mut report = ResolveReport::default();
+        self.sweep(|shard, held| twopc::resolve_intents(shard, held, decided, &mut report));
+        report
+    }
+
+    /// Delete every decision record on the attached shards. Only safe
+    /// after [`ShardedRodain::resolve_intents`] kept nothing on *every*
+    /// shard of the cluster — a kept intent still needs its decision.
+    pub fn gc_decisions(&self) -> u64 {
+        let mut report = ResolveReport::default();
+        self.sweep(|shard, held| twopc::gc_decisions(shard, held, &mut report));
+        report.decisions_cleaned
+    }
+
+    /// Replay unresolved 2PC bookkeeping after a restart, for a cluster
+    /// whose shards all live in this process: resolve every intent, then
+    /// — only if every shard is attached and nothing was kept — delete
+    /// the decision records. Call before serving new traffic on a
+    /// recovered cluster, and again after re-seating a detached shard.
+    pub fn resolve_pending(&self) -> ResolveReport {
+        let mut report = self.resolve_intents(|_, _| None);
+        if report.kept == 0 && self.shards.iter().all(|s| s.read().is_some()) {
+            report.decisions_cleaned = self.gc_decisions();
+        }
+        report
     }
 
     /// Aggregate statistics across every attached shard.
@@ -401,18 +469,33 @@ impl ShardedRodain {
         *self.shards[shard].write() = Some(engine);
     }
 
-    /// Allocate a cross-shard transaction group id. Ids are unique within
-    /// this facade; a networked coordinator must scope them further (the
-    /// cluster layer prefixes the coordinator shard into the high bits).
-    pub fn alloc_gid(&self) -> u64 {
-        self.next_gid.fetch_add(1, Ordering::Relaxed)
+    /// Allocate a group id for a transaction coordinated by `coordinator`:
+    /// the shard in the high bits, a facade-wide sequence number in the
+    /// low 32 ([`GID_SEQ_MASK`]), so ids issued by different processes for
+    /// different coordinator shards never collide. The 44-bit metadata
+    /// payload leaves 12 bits for the shard.
+    pub fn alloc_gid(&self, coordinator: usize) -> u64 {
+        let seq = self.next_gid.fetch_add(1, Ordering::Relaxed) & GID_SEQ_MASK;
+        ((coordinator as u64) << 32) | seq
     }
 
-    /// Keep the gid allocator ahead of ids observed during recovery.
+    /// Keep the allocator's sequence ahead of `gid`'s, so an id still
+    /// carried by a leftover intent or decision is never reissued.
     pub fn note_gid_seen(&self, gid: u64) {
-        self.next_gid.fetch_max(gid + 1, Ordering::Relaxed);
+        self.next_gid
+            .fetch_max((gid & GID_SEQ_MASK) + 1, Ordering::Relaxed);
+    }
+
+    /// [`ShardedRodain::note_gid_seen`] for everything the attached shards
+    /// still hold — for a process that restarts over recovered stores.
+    pub fn reseed_gids(&self) {
+        self.sweep(|_, _| {});
     }
 }
+
+/// Low 32 bits of a group id: the sequence number. The bits above carry
+/// the coordinator shard.
+pub const GID_SEQ_MASK: u64 = 0xFFFF_FFFF;
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,10 @@
 //!   through each participant's normal commit path (per-shard OCC
 //!   validation + the intent shipped like any redo record), *commit* is a
 //!   decision record on the coordinator shard whose CSN is then stamped
-//!   into every participant's redo stream by the apply phase.
+//!   into every participant's redo stream by the apply phase. The
+//!   coordinator ([`run`]) is generic over a [`Participant`]:
+//!   [`LocalParticipant`] is a shard seated in this process, and
+//!   `rodain-cluster` drives the same state machine over peer sockets.
 //! * [`ShardMap`] — the versioned (epoch-numbered) shard → owning-node
 //!   assignment multi-node placement routes by: clients cache a map,
 //!   nodes answer `WrongShard { epoch }` for shards they don't own, and
@@ -27,7 +30,8 @@
 //!   exactly once (see `DESIGN.md` §16).
 //! * Presumed abort: a crash between prepare and decision leaves intents
 //!   with no decision record; [`ShardedRodain::resolve_pending`] replays
-//!   them to abort. A crash after the decision rolls forward.
+//!   them to abort. A crash after the decision rolls forward. An intent
+//!   whose coordinator shard cannot be asked is kept, never presumed.
 //!
 //! See `DESIGN.md` §11 for the full protocol walk-through.
 
@@ -39,10 +43,10 @@ mod map;
 mod router;
 mod twopc;
 
-pub use facade::{ShardedRodain, ShardedRodainBuilder};
+pub use facade::{ShardedRodain, ShardedRodainBuilder, GID_SEQ_MASK};
 pub use map::{ShardMap, ShardOwner};
 pub use router::{MetaKind, MetaOid, ShardRouter, MAX_SHARDS, META_BIT};
 pub use twopc::{
-    apply_on_shard, best_effort_delete, decode_intent, decode_op, encode_intent, encode_op,
-    CrashPoint, CrossReceipt, RecoveryReport, ShardOp,
+    decode_op, encode_op, gc_decisions, resolve_intents, run, CoordError, CrashPoint, CrossReceipt,
+    Held, Leftover, LocalParticipant, Participant, ResolveReport, ShardOp,
 };

@@ -195,7 +195,7 @@ fn torn_2pc_is_presumed_aborted_after_disk_recovery() {
 
     // The durable intents survived the restart; resolution finds no
     // decision record and presumes abort.
-    let report = cluster.resolve_pending().expect("resolve pending 2PC");
+    let report = cluster.resolve_pending();
     assert_eq!(report.aborted, 2, "both participants' intents aborted");
     assert_eq!(report.rolled_forward, 0);
     assert_eq!(cluster.get(a), Some(Value::Int(OPENING - 30)));
